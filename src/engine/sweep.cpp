@@ -431,6 +431,10 @@ eval::AttackBench& SweepRunner::bench(const std::vector<std::string>& layers, bo
   key_spec.weights = weights;
   key_spec.biases = biases;
   const std::string key = key_spec.surface_key();
+  // Held across construction too: building a bench runs the shared net's
+  // layer forwards, and batcher executors with different batch keys share
+  // this runner.
+  const std::lock_guard lock(benches_mu_);
   auto it = benches_.find(key);
   if (it == benches_.end())
     it = benches_

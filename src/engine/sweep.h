@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -180,7 +181,7 @@ class SweepRunner {
 
   /// The shared AttackBench for a surface (created on first use). Benches
   /// that post-process results (defense/faultsim/detect) use this to avoid
-  /// re-deriving features the runner already cached.
+  /// re-deriving features the runner already cached. Thread-safe.
   eval::AttackBench& bench(const std::vector<std::string>& layers, bool weights = true,
                            bool biases = true);
 
@@ -196,6 +197,7 @@ class SweepRunner {
   models::ZooModel* model_;
   std::string cache_dir_;
   bool verbose_;
+  std::mutex benches_mu_;  ///< guards benches_ and each bench's construction
   std::map<std::string, std::unique_ptr<eval::AttackBench>> benches_;
   std::unique_ptr<compile::CompiledModel> compiled_;  ///< built on first run
 };

@@ -7,11 +7,12 @@ AttackBench::AttackBench(models::ZooModel& model, const std::string& cache_dir,
     : model_(&model) {
   attack_ = std::make_unique<core::FaultSneakingAttack>(model.net, layers, weights, biases);
   const std::size_t cut = attack_->cut();
-  const std::string prefix = cache_dir + "/" + model.name + "_cut" + std::to_string(cut);
-  pool_features_ = models::cached_features(model.net, cut, model.attack_pool.images(),
-                                           prefix + "_pool.bin");
-  test_features_ = models::cached_features(model.net, cut, model.test.images(),
-                                           prefix + "_test.bin");
+  pool_features_ =
+      models::cached_features(model.net, cut, model.attack_pool.images(),
+                              models::feature_cache_path(cache_dir, model.name, cut, "pool"));
+  test_features_ =
+      models::cached_features(model.net, cut, model.test.images(),
+                              models::feature_cache_path(cache_dir, model.name, cut, "test"));
   pool_preds_ = models::head_predictions(model.net, cut, pool_features_);
   clean_test_accuracy_ =
       models::head_accuracy(model.net, cut, test_features_, model.test.labels());

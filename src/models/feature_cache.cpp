@@ -1,5 +1,6 @@
 #include "models/feature_cache.h"
 
+#include "obs/trace.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 
@@ -31,8 +32,14 @@ Tensor compute_features(nn::Sequential& net, std::size_t cut, const Tensor& imag
   return out;
 }
 
+std::string feature_cache_path(const std::string& cache_dir, const std::string& model,
+                               std::size_t cut, const std::string& set) {
+  return cache_dir + "/" + model + "_cut" + std::to_string(cut) + "_" + set + ".bin";
+}
+
 Tensor cached_features(nn::Sequential& net, std::size_t cut, const Tensor& images,
                        const std::string& cache_path, std::int64_t batch_size) {
+  OBS_SPAN("features.cached", obs::trace_enabled() ? cache_path : std::string());
   if (io::file_exists(cache_path)) {
     auto tensors = io::load_tensors(cache_path);
     if (tensors.size() == 1 && tensors[0].dim(0) == images.dim(0)) return tensors[0];

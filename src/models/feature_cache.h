@@ -20,6 +20,11 @@ namespace fsa::models {
 Tensor compute_features(nn::Sequential& net, std::size_t cut, const Tensor& images,
                         std::int64_t batch_size = 64);
 
+/// The file that memoizes `model`'s features at `cut` for one image set
+/// ("pool" or "test"): <cache_dir>/<model>_cut<cut>_<set>.bin.
+std::string feature_cache_path(const std::string& cache_dir, const std::string& model,
+                               std::size_t cut, const std::string& set);
+
 /// Same, but memoized on disk: if `cache_path` exists it is loaded instead
 /// of recomputed (callers key the path by model/dataset/cut identity).
 Tensor cached_features(nn::Sequential& net, std::size_t cut, const Tensor& images,

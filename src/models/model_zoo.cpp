@@ -6,6 +6,8 @@
 #include "data/synth_digits.h"
 #include "data/synth_objects.h"
 #include "models/cw_net.h"
+#include "models/feature_cache.h"
+#include "obs/trace.h"
 #include "optim/adam.h"
 #include "optim/trainer.h"
 #include "tensor/serialize.h"
@@ -31,35 +33,30 @@ ZooModel& ModelZoo::objects() {
   return *objects_;
 }
 
+data::Dataset ModelZoo::synthesize(const std::string& name, Split split) const {
+  OBS_SPAN("zoo.synth");
+  // Three disjoint deterministic seeds per dataset, in Split order.
+  const auto role = static_cast<std::size_t>(split);
+  const std::int64_t counts[] = {cfg_.train_count, cfg_.test_count, cfg_.pool_count};
+  if (name == "digits") {
+    data::SynthDigitsConfig dc;
+    dc.count = counts[role];
+    dc.seed = 101 + role;
+    return data::make_synth_digits(dc);
+  }
+  data::SynthObjectsConfig oc;
+  oc.count = counts[role];
+  oc.seed = 201 + role;
+  return data::make_synth_objects(oc);
+}
+
 ZooModel ModelZoo::build(const std::string& name) {
+  OBS_SPAN("zoo.build");
   const bool is_digits = name == "digits";
   ZooModel m;
   m.name = name;
-
-  // --- data (three disjoint deterministic seeds per dataset) ---------------
-  if (is_digits) {
-    data::SynthDigitsConfig dc;
-    dc.count = cfg_.train_count;
-    dc.seed = 101;
-    m.train = data::make_synth_digits(dc);
-    dc.count = cfg_.test_count;
-    dc.seed = 102;
-    m.test = data::make_synth_digits(dc);
-    dc.count = cfg_.pool_count;
-    dc.seed = 103;
-    m.attack_pool = data::make_synth_digits(dc);
-  } else {
-    data::SynthObjectsConfig oc;
-    oc.count = cfg_.train_count;
-    oc.seed = 201;
-    m.train = data::make_synth_objects(oc);
-    oc.count = cfg_.test_count;
-    oc.seed = 202;
-    m.test = data::make_synth_objects(oc);
-    oc.count = cfg_.pool_count;
-    oc.seed = 203;
-    m.attack_pool = data::make_synth_objects(oc);
-  }
+  m.test = synthesize(name, Split::kTest);
+  m.attack_pool = synthesize(name, Split::kPool);
 
   // --- model ----------------------------------------------------------------
   CwNetConfig nc;
@@ -70,9 +67,12 @@ ZooModel ModelZoo::build(const std::string& name) {
 
   const std::string param_path = cfg_.cache_dir + "/" + name + "_cwnet.bin";
   if (io::file_exists(param_path)) {
+    OBS_SPAN("zoo.load");
     m.net.load_params(param_path);
   } else {
+    OBS_SPAN("zoo.train");
     if (cfg_.verbose) std::printf("[zoo] training %s model (cached at %s)...\n", name.c_str(), param_path.c_str());
+    m.train = synthesize(name, Split::kTrain);
     optim::Adam opt(m.net.params(), 1e-3);
     optim::Trainer trainer(m.net, opt);
     optim::TrainConfig tc;
@@ -88,7 +88,17 @@ ZooModel ModelZoo::build(const std::string& name) {
     trainer.fit(m.train, tc);
     m.net.save_params(param_path);
   }
-  m.test_accuracy = optim::Trainer::accuracy(m.net, m.test);
+  {
+    // Clean accuracy from the cached test features at the last cut, so a
+    // warm load forwards only fc3. compute_features and Trainer::accuracy
+    // run the same batches of 64 through the same layers, so the value is
+    // Trainer::accuracy(m.net, m.test) bitwise.
+    OBS_SPAN("zoo.accuracy");
+    const std::size_t cut = m.net.size() - 1;
+    const Tensor features = cached_features(
+        m.net, cut, m.test.images(), feature_cache_path(cfg_.cache_dir, name, cut, "test"));
+    m.test_accuracy = head_accuracy(m.net, cut, features, m.test.labels(), /*batch_size=*/64);
+  }
   if (cfg_.verbose)
     std::printf("[zoo] %s model ready: test accuracy %.4f\n", name.c_str(), m.test_accuracy);
   return m;

@@ -6,12 +6,19 @@
 // ".fsa_cache" next to the current working directory, overridable with the
 // FSA_CACHE_DIR environment variable) and later runs load instantly.
 //
-// Three disjoint image sets are generated per dataset, all deterministic:
-//   train       — used only to fit the model
+// Three disjoint image sets exist per dataset, all deterministic:
+//   train       — used only to fit the model, so it is synthesized only in
+//                 the process that trains; a cached load leaves it empty
+//                 (ModelZoo::synthesize rebuilds it on demand)
 //   test        — the paper's "overall test accuracy" set (Table 4)
 //   attack_pool — the adversary's own images (the paper's X = {x₁..x_R});
 //                 the paper explicitly assumes the adversary does NOT know
 //                 the train/test sets, so these come from a third seed.
+//
+// Clean test accuracy comes from the test features at the net's last cut
+// (models::cached_features, the same file the fc3 AttackBench keeps), so a
+// cached load runs no convolution: it costs the weights plus the test and
+// pool images.
 #pragma once
 
 #include <memory>
@@ -25,7 +32,7 @@ namespace fsa::models {
 struct ZooModel {
   std::string name;
   nn::Sequential net;
-  data::Dataset train;
+  data::Dataset train;  ///< empty unless this process trained the model
   data::Dataset test;
   data::Dataset attack_pool;
   double test_accuracy = 0.0;
@@ -47,9 +54,16 @@ struct ZooConfig {
   bool verbose = true;  ///< print one line per training epoch
 };
 
+/// The role of one of a dataset's three image sets.
+enum class Split { kTrain, kTest, kPool };
+
 class ModelZoo {
  public:
   explicit ModelZoo(ZooConfig cfg = {});
+
+  /// Synthesize one image set of dataset `name` ("digits" or "objects") at
+  /// this zoo's configured size. The per-role seeds live here only.
+  [[nodiscard]] data::Dataset synthesize(const std::string& name, Split split) const;
 
   /// The paper's MNIST model stand-in (28×28×1, ≈99% test accuracy).
   ZooModel& digits();

@@ -15,8 +15,9 @@
 // on its own network clone, so executing requests' specs concatenated in
 // one run yields bitwise-identical rows to executing them one at a time
 // (serve_test proves byte-identical responses for 1 vs 16 concurrent
-// clients). Per-key execution is serialized (one in-flight batch per key)
-// because SweepRunner's bench cache is not thread-safe.
+// clients). Per-key execution is serialized (one in-flight batch per key);
+// distinct keys run concurrently, and the sweep, arena and eval keys of one
+// model share that model's SweepRunner, whose bench() cache is locked.
 //
 // Admission control: the TOTAL queued-request count is bounded by
 // `max_queue`; submit() refuses beyond it (the HTTP layer sheds with 429)

@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <thread>
 
 #include "backend/compute_backend.h"
 #include "core/param_mask.h"
@@ -325,6 +326,45 @@ TEST(SweepRunner, BitwiseIdenticalRowsForOneAndManyWorkers) {
     EXPECT_EQ(a.maintained, b.maintained) << "row " << i;
     EXPECT_EQ(a.test_accuracy, b.test_accuracy) << "row " << i;
     EXPECT_EQ(a.attempts, b.attempts) << "row " << i;
+  }
+}
+
+TEST(SweepRunner, ConcurrentRunsOnOneRunnerMatchASerialRunner) {
+  // The serve daemon runs sweep, arena and eval batches for one model on
+  // separate batcher executors that share one SweepRunner, so two run()
+  // calls can each build a bench nobody pre-warmed: a map insert and a
+  // feature extraction over the shared net at once. Fresh cache
+  // directories make both extractions really run.
+  auto& f = fixture();
+  Sweep fc1 = small_sweep();
+  fc1.methods({"fsa-l0", "gda"}).layers({"fc1"});  // sba needs the final layer's biases
+  const Sweep fc2 = small_sweep();
+
+  SweepRunner serial(f.model, f.cache_dir + "/serial", /*verbose=*/false);
+  const SweepResult want[] = {serial.run(fc1), serial.run(fc2)};
+
+  SweepRunner shared(f.model, f.cache_dir + "/shared", /*verbose=*/false);
+  (void)shared.warm_compile();
+  SweepResult got[2];
+  std::thread a([&] { got[0] = shared.run(fc1); });
+  std::thread b([&] { got[1] = shared.run(fc2); });
+  a.join();
+  b.join();
+
+  for (int s = 0; s < 2; ++s) {
+    ASSERT_EQ(got[s].rows.size(), want[s].rows.size());
+    for (std::size_t i = 0; i < want[s].rows.size(); ++i) {
+      const AttackReport& g = got[s].rows[i].report;
+      const AttackReport& w = want[s].rows[i].report;
+      const std::string where = "sweep " + std::to_string(s) + " row " + std::to_string(i);
+      EXPECT_EQ(g.method, w.method) << where;
+      EXPECT_EQ(g.delta, w.delta) << where;
+      EXPECT_EQ(g.l0, w.l0) << where;
+      EXPECT_EQ(g.l2, w.l2) << where;
+      EXPECT_EQ(g.targets_hit, w.targets_hit) << where;
+      EXPECT_EQ(g.maintained, w.maintained) << where;
+      EXPECT_EQ(g.test_accuracy, w.test_accuracy) << where;
+    }
   }
 }
 

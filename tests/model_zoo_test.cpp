@@ -2,9 +2,12 @@
 // with a deliberately tiny configuration so it runs in seconds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
 
 #include "models/model_zoo.h"
+#include "obs/trace.h"
 #include "optim/trainer.h"
 
 namespace fsa::models {
@@ -64,6 +67,99 @@ TEST(ModelZoo, DatasetsAreDisjointAcrossRoles) {
   EXPECT_NE(m.train.images(), m.test.images().slice0(0, m.test.size()).reshape(
                                    m.test.images().shape()));
   EXPECT_NE(m.test.images(), m.attack_pool.images());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ModelZoo, CleanAccuracyEqualsTheFullNetworkPassColdAndWarm) {
+  // test_accuracy comes from the cached last-cut test features; it must be
+  // the full-network Trainer::accuracy value bitwise, whether the zoo just
+  // trained (features extracted) or loaded (features read back).
+  const std::string dir = temp_dir();
+  for (const char* load : {"cold", "warm"}) {
+    ModelZoo zoo(tiny_config(dir));
+    for (ZooModel* m : {&zoo.digits(), &zoo.objects()}) {
+      SCOPED_TRACE(m->name + " " + load);
+      EXPECT_LT(m->test_accuracy, 1.0);  // some images wrong: equality is not trivial
+      EXPECT_EQ(m->test_accuracy, optim::Trainer::accuracy(m->net, m->test));
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+std::map<std::string, std::filesystem::file_time_type> listing(const std::string& dir) {
+  std::map<std::string, std::filesystem::file_time_type> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    out[entry.path().filename().string()] = entry.last_write_time();
+  return out;
+}
+
+TEST(ModelZoo, WarmLoadSkipsTheTrainSplitAndWritesNothing) {
+  const std::string dir = temp_dir();
+  Tensor trained_on;
+  {
+    ModelZoo zoo(tiny_config(dir));
+    trained_on = zoo.digits().train.images();
+  }
+  const auto before = listing(dir);
+  ModelZoo zoo(tiny_config(dir));
+  EXPECT_EQ(zoo.digits().train.size(), 0);
+  EXPECT_EQ(listing(dir), before);
+  // The split is still one call away, identical to the one training used.
+  EXPECT_EQ(zoo.synthesize("digits", Split::kTrain).images(), trained_on);
+  std::filesystem::remove_all(dir);
+}
+
+/// Depth of every span named `name`, in completion order.
+std::vector<std::uint32_t> depths(const std::vector<obs::SpanRecord>& spans,
+                                  const std::string& name) {
+  std::vector<std::uint32_t> out;
+  for (const obs::SpanRecord& s : spans)
+    if (s.name == name) out.push_back(s.depth);
+  return out;
+}
+
+TEST(ModelZoo, BuildSpansNestStartUpStages) {
+  const std::string dir = temp_dir();
+  obs::set_trace_enabled(true);
+  std::vector<obs::SpanRecord> spans[2];  // cold, warm
+  for (auto& recorded : spans) {
+    obs::clear_spans();
+    ModelZoo zoo(tiny_config(dir));
+    (void)zoo.digits();
+    recorded = obs::snapshot_spans();
+  }
+  obs::clear_spans();
+  obs::set_trace_enabled(false);
+
+  using Depths = std::vector<std::uint32_t>;
+  const auto& [cold, warm] = spans;
+  EXPECT_EQ(depths(cold, "zoo.build"), Depths({0}));
+  EXPECT_EQ(depths(cold, "zoo.synth"), Depths({1, 1, 2}));  // test, pool, then train
+  EXPECT_EQ(depths(cold, "zoo.train"), Depths({1}));
+  EXPECT_EQ(depths(cold, "zoo.load"), Depths());
+  EXPECT_EQ(depths(cold, "zoo.accuracy"), Depths({1}));
+  EXPECT_EQ(depths(cold, "features.cached"), Depths({2}));
+
+  EXPECT_EQ(depths(warm, "zoo.build"), Depths({0}));
+  EXPECT_EQ(depths(warm, "zoo.synth"), Depths({1, 1}));
+  EXPECT_EQ(depths(warm, "zoo.train"), Depths());
+  EXPECT_EQ(depths(warm, "zoo.load"), Depths({1}));
+  EXPECT_EQ(depths(warm, "zoo.accuracy"), Depths({1}));
+  EXPECT_EQ(depths(warm, "features.cached"), Depths({2}));
+
+  // Nesting is containment in time on one thread.
+  for (const auto& recorded : spans) {
+    const auto it = std::find_if(recorded.begin(), recorded.end(), [](const obs::SpanRecord& s) {
+      return std::string(s.name) == "zoo.build";
+    });
+    ASSERT_NE(it, recorded.end());
+    const obs::SpanRecord& build = *it;
+    for (const obs::SpanRecord& s : recorded) {
+      EXPECT_EQ(s.tid, build.tid) << s.name;
+      EXPECT_LE(build.start_us, s.start_us) << s.name;
+      EXPECT_LE(s.start_us + s.dur_us, build.start_us + build.dur_us) << s.name;
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 
