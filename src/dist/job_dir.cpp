@@ -1,7 +1,5 @@
 #include "dist/job_dir.h"
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -9,25 +7,17 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
+#include "tensor/serialize.h"
 
 namespace fsa::dist {
 
 namespace fs = std::filesystem;
 
 void write_json_atomic(const std::string& path, const eval::Json& j) {
-  const fs::path p(path);
-  if (p.has_parent_path()) fs::create_directories(p.parent_path());
-  // Per-process tmp name: concurrent writers of the same path (two
-  // coordinators resuming one job on shared storage) each stage their own
-  // file, and the final renames are last-one-wins with both contents
-  // complete — a reader can never observe a partial document.
-  const fs::path tmp = p.string() + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream os(tmp);
-    os << j.dump(2) << "\n";
-    if (!os.good()) throw std::runtime_error("dist: failed to write " + tmp.string());
-  }
-  fs::rename(tmp, p);  // atomic on POSIX: readers see the old file or the new one
+  // Concurrent writers of the same path (two coordinators resuming one job
+  // on shared storage) each stage their own file; the renames are
+  // last-one-wins with both contents complete.
+  io::write_file_atomic(path, [&](std::ostream& os) { os << j.dump(2) << "\n"; });
 }
 
 eval::Json read_json_file(const std::string& path) {
@@ -78,7 +68,7 @@ JobDir JobDir::open(const std::string& path) {
   if ((kind != "arena" && kind != "campaign" && kind != "sweep") || shards < 1)
     throw std::runtime_error("JobDir: " + path + "/job.json is malformed");
   JobDir job(path, kind, shards);
-  // Resume hygiene: crashed writers leave `*.tmp.<pid>` staging files
+  // Resume hygiene: crashed writers leave `*.tmp.<pid>.<n>` staging files
   // behind; clear the stale ones so the directory stays clean.
   job.sweep_orphaned_tmp();
   return job;
@@ -167,11 +157,11 @@ std::vector<int> JobDir::validate_results() const {
 
 void JobDir::sweep_orphaned_tmp(std::chrono::seconds min_age) const {
   const auto cutoff = fs::file_time_type::clock::now() - min_age;
-  for (const fs::path dir : {fs::path(path_), fs::path(path_) / "results", fs::path(path_) / "leases"}) {
+  for (const fs::path& dir : {fs::path(path_), fs::path(path_) / "results", fs::path(path_) / "leases"}) {
     std::error_code ec;
     for (const auto& entry : fs::directory_iterator(dir, ec)) {
       if (!entry.is_regular_file(ec)) continue;
-      // write_json_atomic stages as `<name>.tmp.<pid>`; reclaim leaves
+      // write_json_atomic stages as `<name>.tmp.<pid>.<n>`; reclaim leaves
       // `<name>.reclaim.<owner>` only transiently, sweep those too.
       const std::string name = entry.path().filename().string();
       if (name.find(".tmp.") == std::string::npos && name.find(".reclaim.") == std::string::npos)

@@ -30,8 +30,8 @@
 
 namespace fsa::dist {
 
-/// Write `j` to `path` atomically: dump to `path.tmp`, then rename. The
-/// parent directory is created. Readers never observe a partial file.
+/// Write `j` to `path` atomically (io::write_file_atomic). The parent
+/// directory is created. Readers never observe a partial file.
 void write_json_atomic(const std::string& path, const eval::Json& j);
 
 /// Parse the JSON document stored at `path` (throws with the path on a
@@ -97,7 +97,7 @@ class JobDir {
   /// instead of poisoning the reduction.
   std::vector<int> validate_results() const;
 
-  /// Remove orphaned `*.tmp.<pid>` staging files (write_json_atomic
+  /// Remove orphaned `*.tmp.<pid>.<n>` staging files (write_json_atomic
   /// leftovers from crashed writers) older than `min_age` from the job's
   /// root, results/ and leases/ directories. The age guard keeps a live
   /// writer's in-flight tmp safe; open() sweeps automatically.

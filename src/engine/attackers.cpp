@@ -222,8 +222,8 @@ AttackReport SbaAttacker::run(nn::Sequential& net, const core::ParamMask& mask,
   Tensor f = spec.features.slice0(0, 1);
   for (std::size_t i = mask.cut(); i < li; ++i) f = net.layer(i).forward(f, /*train=*/false);
 
-  const baseline::SbaResult res =
-      baseline::single_bias_attack(net, final_dense->name(), f, spec.labels[0], eps_);
+  // Mutates the final layer's biases in place; δ is read back from the net.
+  baseline::single_bias_attack(net, final_dense->name(), f, spec.labels[0], eps_);
 
   // Express the modification as a δ over the mask and measure the full spec.
   Tensor after = mask.gather_values();

@@ -37,6 +37,11 @@ std::string feature_cache_path(const std::string& cache_dir, const std::string& 
   return cache_dir + "/" + model + "_cut" + std::to_string(cut) + "_" + set + ".bin";
 }
 
+std::string split_cache_path(const std::string& cache_dir, const std::string& model,
+                             const std::string& set) {
+  return cache_dir + "/" + model + "_" + set + "_split.bin";
+}
+
 Tensor cached_features(nn::Sequential& net, std::size_t cut, const Tensor& images,
                        const std::string& cache_path, std::int64_t batch_size) {
   OBS_SPAN("features.cached", obs::trace_enabled() ? cache_path : std::string());

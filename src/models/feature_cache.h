@@ -25,8 +25,13 @@ Tensor compute_features(nn::Sequential& net, std::size_t cut, const Tensor& imag
 std::string feature_cache_path(const std::string& cache_dir, const std::string& model,
                                std::size_t cut, const std::string& set);
 
-/// Same, but memoized on disk: if `cache_path` exists it is loaded instead
-/// of recomputed (callers key the path by model/dataset/cut identity).
+/// The file that caches dataset `model`'s image set ("pool" or "test"),
+/// images plus labels: <cache_dir>/<model>_<set>_split.bin.
+std::string split_cache_path(const std::string& cache_dir, const std::string& model,
+                             const std::string& set);
+
+/// compute_features memoized on disk: if `cache_path` exists it is loaded
+/// instead of recomputed (callers key the path by model/dataset/cut identity).
 Tensor cached_features(nn::Sequential& net, std::size_t cut, const Tensor& images,
                        const std::string& cache_path, std::int64_t batch_size = 64);
 

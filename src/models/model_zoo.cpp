@@ -1,7 +1,9 @@
 #include "models/model_zoo.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "data/synth_digits.h"
 #include "data/synth_objects.h"
@@ -18,6 +20,47 @@ std::string default_cache_dir() {
   if (const char* env = std::getenv("FSA_CACHE_DIR"); env != nullptr && *env != '\0') return env;
   return ".fsa_cache";
 }
+
+namespace {
+
+/// The image set cached at `path` if the file holds exactly two tensors:
+/// images shaped `shape` and one label per image in [0, classes). Anything
+/// else, a missing or unreadable file included, is a miss.
+std::optional<data::Dataset> read_split(const std::string& path, const Shape& shape,
+                                        std::int64_t classes) {
+  std::vector<Tensor> tensors;
+  try {
+    tensors = io::load_tensors(path);
+  } catch (const std::runtime_error&) {
+    return std::nullopt;
+  }
+  if (tensors.size() != 2 || tensors[0].shape() != shape ||
+      tensors[1].shape() != Shape({shape.dim(0)}))
+    return std::nullopt;
+  std::vector<std::int64_t> labels;
+  labels.reserve(static_cast<std::size_t>(shape.dim(0)));
+  for (const float l : tensors[1].span()) {
+    if (!(l >= 0.0f && l < static_cast<float>(classes)) || l != std::floor(l)) return std::nullopt;
+    labels.push_back(static_cast<std::int64_t>(l));
+  }
+  return data::Dataset(std::move(tensors[0]), std::move(labels), classes);
+}
+
+/// Image set `split` ("test" or "pool") of dataset `name`, read back from
+/// its split file; on a miss it is synthesized and the file (re)written.
+data::Dataset cached_split(const ModelZoo& zoo, const std::string& name, Split split,
+                           const Shape& shape, std::int64_t classes) {
+  const std::string path =
+      split_cache_path(zoo.cache_dir(), name, split == Split::kTest ? "test" : "pool");
+  OBS_SPAN("split.cached", obs::trace_enabled() ? path : std::string());
+  if (auto cached = read_split(path, shape, classes)) return std::move(*cached);
+  data::Dataset fresh = zoo.synthesize(name, split);
+  std::vector<float> labels(fresh.labels().begin(), fresh.labels().end());
+  io::save_tensors(path, {fresh.images(), Tensor::from_vector(std::move(labels))});
+  return fresh;
+}
+
+}  // namespace
 
 ModelZoo::ModelZoo(ZooConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.cache_dir.empty()) cfg_.cache_dir = default_cache_dir();
@@ -53,16 +96,20 @@ data::Dataset ModelZoo::synthesize(const std::string& name, Split split) const {
 ZooModel ModelZoo::build(const std::string& name) {
   OBS_SPAN("zoo.build");
   const bool is_digits = name == "digits";
-  ZooModel m;
-  m.name = name;
-  m.test = synthesize(name, Split::kTest);
-  m.attack_pool = synthesize(name, Split::kPool);
-
-  // --- model ----------------------------------------------------------------
   CwNetConfig nc;
   nc.in_channels = is_digits ? 1 : 3;
   nc.side = is_digits ? 28 : 32;
   nc.init_seed = is_digits ? 42 : 43;
+
+  ZooModel m;
+  m.name = name;
+  m.test = cached_split(*this, name, Split::kTest,
+                        Shape({cfg_.test_count, nc.in_channels, nc.side, nc.side}), nc.classes);
+  m.attack_pool = cached_split(*this, name, Split::kPool,
+                               Shape({cfg_.pool_count, nc.in_channels, nc.side, nc.side}),
+                               nc.classes);
+
+  // --- model ----------------------------------------------------------------
   m.net = make_cw_net(nc);
 
   const std::string param_path = cfg_.cache_dir + "/" + name + "_cwnet.bin";

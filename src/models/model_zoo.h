@@ -15,10 +15,13 @@
 //                 the paper explicitly assumes the adversary does NOT know
 //                 the train/test sets, so these come from a third seed.
 //
-// Clean test accuracy comes from the test features at the net's last cut
-// (models::cached_features, the same file the fc3 AttackBench keeps), so a
-// cached load runs no convolution: it costs the weights plus the test and
-// pool images.
+// The test and pool sets are cached too, images plus labels, one split
+// file each (models::split_cache_path); a missing or mismatched file is
+// synthesized and rewritten. Clean test accuracy comes from the test
+// features at the net's last cut (models::cached_features, the same file
+// the fc3 AttackBench keeps). So a cached load reads the weights, the two
+// split files and the last-cut test features; it renders no image and
+// runs no convolution.
 #pragma once
 
 #include <memory>

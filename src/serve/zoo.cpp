@@ -26,7 +26,8 @@ bool ModelHost::has(const std::string& model) const {
 
 // ---- ServeZoo ----------------------------------------------------------------
 
-ServeZoo::ServeZoo(ServeZooOptions options) : zoo_(models::ZooConfig{.verbose = options.verbose}) {
+ServeZoo::ServeZoo(ServeZooOptions options)
+    : zoo_(models::ZooConfig{.cache_dir = {}, .verbose = options.verbose}) {
   if (options.datasets.empty())
     throw std::invalid_argument("serve zoo: at least one dataset is required");
   for (const std::string& name : options.datasets) {

@@ -1,5 +1,8 @@
 #include "tensor/serialize.h"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -58,13 +61,32 @@ Tensor read_tensor(std::istream& is) {
   return t;
 }
 
-void save_tensors(const std::string& path, const std::vector<Tensor>& tensors) {
-  std::filesystem::path p(path);
+void write_file_atomic(const std::string& path, const std::function<void(std::ostream&)>& write) {
+  const std::filesystem::path p(path);
   if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("fsa::io: cannot open for write: " + path);
-  write_pod(os, static_cast<std::uint64_t>(tensors.size()));
-  for (const auto& t : tensors) write_tensor(os, t);
+  // Threads share the pid, so a per-process sequence number joins it.
+  static std::atomic<std::uint64_t> sequence{0};
+  const std::string tmp =
+      path + ".tmp." + std::to_string(::getpid()) + "." + std::to_string(sequence++);
+  try {
+    std::ofstream os(tmp, std::ios::binary);
+    if (!os) throw std::runtime_error("fsa::io: cannot open for write: " + tmp);
+    write(os);
+    os.close();
+    if (!os) throw std::runtime_error("fsa::io: write failed: " + tmp);
+    std::filesystem::rename(tmp, p);  // atomic on POSIX
+  } catch (...) {
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+    throw;
+  }
+}
+
+void save_tensors(const std::string& path, const std::vector<Tensor>& tensors) {
+  write_file_atomic(path, [&](std::ostream& os) {
+    write_pod(os, static_cast<std::uint64_t>(tensors.size()));
+    for (const auto& t : tensors) write_tensor(os, t);
+  });
 }
 
 std::vector<Tensor> load_tensors(const std::string& path) {

@@ -6,9 +6,11 @@
 #include <filesystem>
 #include <map>
 
+#include "models/feature_cache.h"
 #include "models/model_zoo.h"
 #include "obs/trace.h"
 #include "optim/trainer.h"
+#include "tensor/serialize.h"
 
 namespace fsa::models {
 namespace {
@@ -109,6 +111,62 @@ TEST(ModelZoo, WarmLoadSkipsTheTrainSplitAndWritesNothing) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ModelZoo, ColdBuildWritesSplitFilesThatWarmBuildsReadBackBitwise) {
+  const std::string dir = temp_dir();
+  {
+    ModelZoo zoo(tiny_config(dir));
+    for (const ZooModel* m : {&zoo.digits(), &zoo.objects()})
+      for (const char* set : {"test", "pool"})
+        EXPECT_TRUE(std::filesystem::exists(split_cache_path(dir, m->name, set)))
+            << m->name << " " << set;
+  }
+  const auto before = listing(dir);
+  ModelZoo zoo(tiny_config(dir));
+  for (const ZooModel* m : {&zoo.digits(), &zoo.objects()}) {
+    SCOPED_TRACE(m->name);
+    const data::Dataset test = zoo.synthesize(m->name, Split::kTest);
+    const data::Dataset pool = zoo.synthesize(m->name, Split::kPool);
+    EXPECT_EQ(m->test.images(), test.images());
+    EXPECT_EQ(m->test.labels(), test.labels());
+    EXPECT_EQ(m->test.num_classes(), test.num_classes());
+    EXPECT_EQ(m->attack_pool.images(), pool.images());
+    EXPECT_EQ(m->attack_pool.labels(), pool.labels());
+    EXPECT_EQ(m->attack_pool.num_classes(), pool.num_classes());
+  }
+  EXPECT_EQ(listing(dir), before);  // read back, not re-synthesized and rewritten
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ModelZoo, MismatchedSplitFilesAreResynthesizedAndReplaced) {
+  const std::string dir = temp_dir();
+  { (void)ModelZoo(tiny_config(dir)).digits(); }  // writes 60-image splits
+  const std::string path = split_cache_path(dir, "digits", "test");
+
+  // Written under another test_count: not trusted, replaced.
+  ZooConfig smaller = tiny_config(dir);
+  smaller.test_count = 50;
+  {
+    ModelZoo zoo(smaller);
+    const data::Dataset expected = zoo.synthesize("digits", Split::kTest);
+    EXPECT_EQ(zoo.digits().test.images(), expected.images());
+    EXPECT_EQ(zoo.digits().test.labels(), expected.labels());
+  }
+  std::vector<Tensor> file = io::load_tensors(path);
+  ASSERT_EQ(file.size(), 2u);
+  EXPECT_EQ(file[0].dim(0), 50);
+
+  // Holding an out-of-range label: likewise.
+  const float label0 = file[1].data()[0];
+  file[1].data()[0] = 10.0f;
+  io::save_tensors(path, file);
+  {
+    ModelZoo zoo(smaller);
+    EXPECT_EQ(zoo.digits().test.labels(), zoo.synthesize("digits", Split::kTest).labels());
+  }
+  EXPECT_EQ(io::load_tensors(path)[1].data()[0], label0);
+  std::filesystem::remove_all(dir);
+}
+
 /// Depth of every span named `name`, in completion order.
 std::vector<std::uint32_t> depths(const std::vector<obs::SpanRecord>& spans,
                                   const std::string& name) {
@@ -134,14 +192,16 @@ TEST(ModelZoo, BuildSpansNestStartUpStages) {
   using Depths = std::vector<std::uint32_t>;
   const auto& [cold, warm] = spans;
   EXPECT_EQ(depths(cold, "zoo.build"), Depths({0}));
-  EXPECT_EQ(depths(cold, "zoo.synth"), Depths({1, 1, 2}));  // test, pool, then train
+  EXPECT_EQ(depths(cold, "split.cached"), Depths({1, 1}));  // test, pool
+  EXPECT_EQ(depths(cold, "zoo.synth"), Depths({2, 2, 2}));  // test, pool, then train
   EXPECT_EQ(depths(cold, "zoo.train"), Depths({1}));
   EXPECT_EQ(depths(cold, "zoo.load"), Depths());
   EXPECT_EQ(depths(cold, "zoo.accuracy"), Depths({1}));
   EXPECT_EQ(depths(cold, "features.cached"), Depths({2}));
 
   EXPECT_EQ(depths(warm, "zoo.build"), Depths({0}));
-  EXPECT_EQ(depths(warm, "zoo.synth"), Depths({1, 1}));
+  EXPECT_EQ(depths(warm, "split.cached"), Depths({1, 1}));
+  EXPECT_EQ(depths(warm, "zoo.synth"), Depths());  // both splits read back
   EXPECT_EQ(depths(warm, "zoo.train"), Depths());
   EXPECT_EQ(depths(warm, "zoo.load"), Depths({1}));
   EXPECT_EQ(depths(warm, "zoo.accuracy"), Depths({1}));

@@ -1,9 +1,12 @@
 // serialize_test.cpp — round trips and corruption handling of tensor I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <thread>
 
 #include "tensor/serialize.h"
 
@@ -79,6 +82,49 @@ TEST(Serialize, FileExists) {
   io::save_tensors(path, {});
   EXPECT_TRUE(io::file_exists(path));
   std::remove(path.c_str());
+}
+
+TEST(Serialize, ConcurrentReaderNeverSeesAPartialFile) {
+  // One thread rewrites a 4 MB file in a loop, each version filled with its
+  // own value; the reader must only ever load one complete version.
+  const std::filesystem::path dir = temp_path("fsa_serialize_atomic_test");
+  std::filesystem::remove_all(dir);
+  const std::string path = (dir / "big.bin").string();
+  const Shape shape({1 << 20});
+  io::save_tensors(path, {Tensor(shape, 0.0f)});
+  std::atomic<bool> stop{false};
+  std::atomic<int> write_errors{0};
+  std::thread writer([&] {
+    for (int version = 1; !stop; ++version) {
+      try {
+        io::save_tensors(path, {Tensor(shape, static_cast<float>(version))});
+      } catch (const std::exception&) {
+        ++write_errors;
+      }
+    }
+  });
+  int torn = 0;
+  for (int read = 0; read < 200; ++read) {
+    try {
+      const auto back = io::load_tensors(path);
+      const bool whole =
+          back.size() == 1 && back[0].shape() == shape &&
+          std::all_of(back[0].data(), back[0].data() + back[0].size(),
+                      [first = back[0].data()[0]](float v) { return v == first; });
+      if (!whole) ++torn;
+    } catch (const std::exception&) {
+      ++torn;
+    }
+  }
+  stop = true;
+  writer.join();
+  EXPECT_EQ(torn, 0) << "of 200 reads";
+  EXPECT_EQ(write_errors, 0);
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    left.push_back(entry.path().filename().string());
+  EXPECT_EQ(left, std::vector<std::string>({"big.bin"}));  // no staging file survives
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
