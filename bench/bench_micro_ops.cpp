@@ -68,7 +68,7 @@ void BM_GemmSeedSerial(benchmark::State& state) {
   state.counters["GFLOPS"] =
       benchmark::Counter(gemm_gflops(state, n, n, n), benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_GemmSeedSerial)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GemmSeedSerial)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Backend GEMM; Args are {size, threads}. The 1-thread rows isolate the
 // blocking/tiling win, the 2/4-thread rows add the pool on top.
@@ -90,7 +90,8 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)
     ->ArgsProduct({{64, 128, 256, 512}, {1, 2, 4}})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_GemmHeadShape(benchmark::State& state) {
   // The fc3 head at R=1000: [1000, 200] · [200, 10].
@@ -104,7 +105,7 @@ void BM_GemmHeadShape(benchmark::State& state) {
   state.counters["GFLOPS"] = benchmark::Counter(gemm_gflops(state, 1000, 200, 10),
                                                 benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_GemmHeadShape);
+BENCHMARK(BM_GemmHeadShape)->UseRealTime();
 
 /// One row per registered compute backend (registered from main(), so new
 /// backends show up without a bench edit): square GEMM at 512³, which is
@@ -134,7 +135,8 @@ void register_gemm_backend_benches() {
                 gemm_gflops(state, size, size, size),
                 benchmark::Counter::kIsIterationInvariantRate);
           })
-          ->Unit(benchmark::kMillisecond);
+          ->Unit(benchmark::kMillisecond)
+          ->UseRealTime();
     }
   }
 }

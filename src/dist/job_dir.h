@@ -10,6 +10,7 @@
 //     results/shard_00000.telemetry.json
 //                              optional metrics sidecar (FSA_METRICS on)
 //     logs/shard_00000.log     worker stdout+stderr, one per shard attempt
+//     logs/serve_0.log         one per lease worker run_job started (jobs.h)
 //     leases/shard_00000.lease live shard claims (`dist serve`, see lease.h)
 //     reduced.json             the zero-drift reduction over all results
 //     telemetry.json           merged sidecars — always OUTSIDE reduced.json

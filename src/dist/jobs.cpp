@@ -1,11 +1,17 @@
 #include "dist/jobs.h"
 
+#include <sys/wait.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <stdexcept>
 #include <system_error>
 
+#include "dist/lease.h"
 #include "dist/reducer.h"
 #include "dist/worker_pool.h"
 #include "faultsim/profile.h"
@@ -192,48 +198,81 @@ std::vector<int> schedule_longest_first(std::vector<int> shards, const std::vect
 
 // ---- coordination ------------------------------------------------------------
 
-eval::Json run_job(const JobDir& job, const std::string& exe, const RunJobOptions& options) {
-  const std::vector<double> costs = manifest_shard_costs(job.manifest());
-  const auto argv_for = [&](int shard) {
-    std::vector<std::string> argv = {exe,       job.kind(),
-                                     "--run-shard", job.manifest_path(),
-                                     "--shard",     std::to_string(shard),
-                                     "--out",       job.result_path(shard)};
-    argv.insert(argv.end(), options.extra_argv.begin(), options.extra_argv.end());
-    return argv;
-  };
-  const auto log_for = [&](int shard) { return job.log_path(shard); };
+namespace {
 
-  // The pass loop exists for one reason: a result file that validates as
-  // corrupt is quarantined and its shard re-run. Pass 1 handles a clean or
-  // resumed job outright; later passes only fire when validation keeps
-  // finding corrupt bytes, and the bound turns persistent fs corruption
-  // into an error instead of an infinite loop.
-  const int max_passes = 1 + std::max(1, options.max_attempts);
-  for (int pass = 1;; ++pass) {
-    job.validate_results();  // corrupt results -> .bad, shard back to missing
-    const JobStatus st = job.status();
-    if (st.missing.empty()) break;
-    if (pass > max_passes)
-      throw std::runtime_error("dist: " + job.path() + ": shards keep producing corrupt results after " +
-                               std::to_string(max_passes) + " passes");
-    if (options.verbose)
-      std::fprintf(stderr, "[dist] %s: %zu/%d shard(s) to run on %d worker(s)%s\n",
-                   job.path().c_str(), st.missing.size(), job.shards(), options.workers,
-                   pass > 1 ? " (re-running quarantined shards)" : "");
-    WorkerPool pool(
-        {options.workers, options.max_attempts, options.verbose, options.retry_backoff_ms});
-    const std::vector<ShardRun> runs =
-        pool.run(schedule_longest_first(st.missing, costs), argv_for, log_for);
-    std::string failures;
-    for (const ShardRun& r : runs) {
-      const bool wrote = r.exit_code == 0 && job.has_result(r.shard);
-      if (!wrote)
-        failures += (failures.empty() ? "" : "; ") + ("shard " + std::to_string(r.shard) +
-                    " exit " + std::to_string(r.exit_code) + " after " +
-                    std::to_string(r.attempts) + " attempt(s), see " + job.log_path(r.shard));
+/// The lease workers run_job started. The destructor covers the exception
+/// path: every worker still alive is asked to drain (SIGTERM finishes its
+/// in-flight shard and releases the lease) and reaped, so neither a lease
+/// worker nor a shard worker outlives the coordinator.
+class LeaseWorkers {
+ public:
+  LeaseWorkers() = default;
+  LeaseWorkers(const LeaseWorkers&) = delete;
+  LeaseWorkers& operator=(const LeaseWorkers&) = delete;
+  ~LeaseWorkers() {
+    for (const pid_t pid : pids_) ::kill(pid, SIGTERM);
+    wait();
+  }
+
+  void spawn(const std::vector<std::string>& argv, const std::string& log) {
+    pids_.push_back(spawn_worker(argv, log));
+  }
+
+  /// Reap every worker. Exit codes carry no verdict: `dist serve` exits 1
+  /// after any failed local attempt, even when a retry then succeeded.
+  void wait() {
+    for (const pid_t pid : pids_) {
+      int status = 0;
+      while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+      }
     }
-    if (!failures.empty()) throw std::runtime_error("dist: worker failure(s): " + failures);
+    pids_.clear();
+  }
+
+ private:
+  std::vector<pid_t> pids_;
+};
+
+std::string missing_shards_error(const JobDir& job, const std::vector<int>& missing, int workers) {
+  std::map<int, LeaseInfo> leases;
+  for (auto& [shard, info] : list_leases(job)) leases[shard] = std::move(info);
+  const std::int64_t now = lease_now_ms();
+  std::string what = "dist: " + job.path() + ": " + std::to_string(missing.size()) + " of " +
+                     std::to_string(job.shards()) + " shard(s) missing after " +
+                     std::to_string(workers) + " lease worker(s) drained the job:";
+  for (const int s : missing) {
+    what += " shard " + std::to_string(s) + " (log " + job.log_path(s);
+    if (const auto it = leases.find(s); it != leases.end())
+      what += ", leased by " + (it->second.owner.empty() ? "(corrupt lease)" : it->second.owner) +
+              ", heartbeat " + std::to_string(now - it->second.heartbeat_ms) + " ms ago";
+    what += ");";
+  }
+  return what + " lease-worker logs: " + job.path() + "/logs/serve_*.log";
+}
+
+}  // namespace
+
+eval::Json run_job(const JobDir& job, const std::string& exe, const RunJobOptions& options) {
+  if (options.workers < 1)
+    throw std::invalid_argument("dist: worker count must be >= 1, got " +
+                                std::to_string(options.workers));
+  job.validate_results();  // corrupt results -> .bad, shard back to missing
+  if (const std::vector<int> missing = job.status().missing; !missing.empty()) {
+    const int workers = std::min(options.workers, static_cast<int>(missing.size()));
+    if (options.verbose)
+      std::fprintf(stderr, "[dist] %s: %zu/%d shard(s) to run on %d lease worker(s)\n",
+                   job.path().c_str(), missing.size(), job.shards(), workers);
+    // A short poll: a --once worker that lost a claim race re-checks after
+    // it instead of idling at serve's daemon default.
+    std::vector<std::string> argv = {exe,    "dist", "serve",     "--job", job.path(),
+                                     "--once", "--poll-ms", "20"};
+    argv.insert(argv.end(), options.extra_argv.begin(), options.extra_argv.end());
+    LeaseWorkers pool;
+    for (int w = 0; w < workers; ++w)
+      pool.spawn(argv, job.path() + "/logs/serve_" + std::to_string(w) + ".log");
+    pool.wait();
+    if (const std::vector<int> left = job.status().missing; !left.empty())
+      throw std::runtime_error(missing_shards_error(job, left, workers));
   }
   if (options.verbose)
     std::fprintf(stderr, "[dist] %s: all %d shard result(s) present, reducing\n",

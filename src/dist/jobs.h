@@ -4,19 +4,26 @@
 // create_*_job lays them out as job directories, run_*_shard is the pure
 // worker entry a child process (fsa_cli's --run-shard mode, or any binary
 // honoring the same contract) executes for one shard, and run_job is the
-// coordinator loop — spawn workers for every shard still missing a
-// result, then reduce.
+// coordinator — drain every missing shard through local lease workers,
+// then reduce.
 //
-// Worker contract (what run_job execs, and what --run-shard implements):
+// Worker contract. run_job starts up to `workers` copies of
+//
+//   <exe> dist serve --job <job> --once --poll-ms 20
+//
+// (serve.h) in the coordinator's process group, each logging to
+// <job>/logs/serve_<w>.log. Every lease worker claims missing shards
+// through leases/ and execs, per claimed shard,
 //
 //   <exe> <kind> --run-shard <job>/manifest.json --shard <i>
 //         --out <job>/results/shard_<i>.json
 //
-// with stdout/stderr appended to <job>/logs/shard_<i>.log. A worker needs
-// nothing else: campaign manifests carry every flip, seed, attribution
-// and calibration profile; sweep manifests carry every instance spec plus
-// the dataset and backend names (the model itself comes from the shared
-// FSA_CACHE_DIR, which the coordinator warms before spawning).
+// with stdout/stderr appended to <job>/logs/shard_<i>.log. A shard worker
+// needs nothing else: campaign manifests carry every flip, seed,
+// attribution and calibration profile; sweep manifests carry every
+// instance spec plus the dataset and backend names (the model itself
+// comes from the shared FSA_CACHE_DIR, which the coordinator warms before
+// spawning).
 #pragma once
 
 #include <string>
@@ -102,21 +109,23 @@ std::vector<int> schedule_longest_first(std::vector<int> shards, const std::vect
 // ---- coordination ------------------------------------------------------------
 
 struct RunJobOptions {
-  int workers = 1;
-  int max_attempts = 2;  ///< total tries per shard (1 initial + retries)
+  int workers = 1;  ///< local lease workers (`dist serve --once`), >= 1
   bool verbose = true;
-  std::vector<std::string> extra_argv;  ///< appended to every worker argv (tests)
-  int retry_backoff_ms = 100;  ///< WorkerOptions::retry_backoff_ms for the pool
+  std::vector<std::string> extra_argv;  ///< appended to every lease worker's argv (tests)
 };
 
-/// Coordinator loop: quarantine corrupt results, spawn `exe` workers (per
-/// the contract above) for every shard of `job` missing a result —
-/// longest-first by the manifest's shard costs — reduce, write
-/// reduced.json, and return the reduced document. Resume-friendly:
-/// completed shards are never re-run, and a corrupt/truncated result file
-/// is moved aside to `.bad` and its shard re-executed instead of aborting
-/// the job. Throws listing shard index, exit code and log path when a
-/// shard still fails after the bounded retries.
+/// Coordinator: quarantine corrupt results, start min(`workers`, missing
+/// shards) lease workers (the contract above) on `job`, wait for all of
+/// them, then reduce, write reduced.json, and return the reduced
+/// document. The lease workers share serve()'s policy: longest-first by
+/// the manifest's shard costs, crash retry with backoff, local give-up on
+/// a poison shard, and no shard that a live lease holds elsewhere is run.
+/// Resume-friendly: completed shards are never re-run. Success is judged
+/// by the job's result files, not by exit codes; when shards are still
+/// missing it throws naming each one with its log and any live lease
+/// owner. No child outlives the call: on an exception every lease worker
+/// is asked to drain (SIGTERM) and reaped. Throws std::invalid_argument
+/// on `workers` < 1.
 eval::Json run_job(const JobDir& job, const std::string& exe, const RunJobOptions& options);
 
 /// run_job for a THROWAWAY job directory (the CLI's `--workers` mode

@@ -1,14 +1,13 @@
 // serve.h — the coordinator-free worker daemon behind `fsa_cli dist serve`.
 //
-// `dist run` (jobs.h) is a coordinator: one living process owns a job and
-// fans children out over its missing shards. serve() is the opposite
-// discipline — no process owns anything. Each worker polls one or more
-// job directories, claims missing shards one at a time through O_EXCL
-// lease files (lease.h), runs the claimed shard in a child process (the
-// same `--run-shard` worker contract) while renewing the lease heartbeat,
-// and releases the lease after the result lands via the atomic tmp+rename
+// No process owns anything. Each worker polls one or more job
+// directories, claims missing shards one at a time through O_EXCL lease
+// files (lease.h), runs the claimed shard in a child process (the
+// `--run-shard` worker contract) while renewing the lease heartbeat, and
+// releases the lease after the result lands via the atomic tmp+rename
 // path. Heterogeneous hosts drain one queue by simply running serve()
-// against the same directory on shared storage.
+// against the same directory on shared storage; `dist run` and every
+// `--workers N` command (run_job, jobs.h) are N local `--once` workers.
 //
 // Crash tolerance: a worker that dies — SIGKILL, power loss, a wedged
 // host — simply stops renewing its heartbeat. Any other worker that finds

@@ -4,46 +4,46 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <map>
-#include <random>
 #include <stdexcept>
-#include <utility>
 
 namespace fsa::dist {
 
 pid_t spawn_worker(const std::vector<std::string>& argv, const std::string& log) {
-  if (argv.empty()) throw std::invalid_argument("WorkerPool: empty argv");
+  if (argv.empty()) throw std::invalid_argument("spawn_worker: empty argv");
   {
     const std::filesystem::path p(log);
     if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
   }
+  // Everything the child touches is built before fork(): the parent may be
+  // multi-threaded, and such a child may only make async-signal-safe calls
+  // until exec — no allocation.
+  std::vector<char*> cargv;
+  cargv.reserve(argv.size() + 1);
+  for (const std::string& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
+  cargv.push_back(nullptr);
+  const std::string exec_error = "spawn_worker: execvp " + argv[0] + ": ";
+
   const pid_t pid = ::fork();
-  if (pid < 0) throw std::runtime_error(std::string("WorkerPool: fork failed: ") +
+  if (pid < 0) throw std::runtime_error(std::string("spawn_worker: fork failed: ") +
                                         std::strerror(errno));
   if (pid > 0) return pid;
 
-  // Child. Only async-signal-safe calls until exec.
   const int fd = ::open(log.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
   if (fd >= 0) {
     ::dup2(fd, 1);
     ::dup2(fd, 2);
     if (fd > 2) ::close(fd);
   }
-  std::vector<char*> cargv;
-  cargv.reserve(argv.size() + 1);
-  for (const std::string& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
-  cargv.push_back(nullptr);
   // execvP semantics: a bare command name (self_exe's fallback when
   // /proc/self/exe is unavailable and argv[0] came from PATH) resolves
   // the same way the original invocation did.
   ::execvp(cargv[0], cargv.data());
-  ::dprintf(2, "WorkerPool: execvp %s: %s\n", cargv[0], std::strerror(errno));
+  const char* why = ::strerrordesc_np(errno);  // a static table: no locale, no lock
+  for (const char* part : {exec_error.c_str(), why != nullptr ? why : "unknown error", "\n"})
+    if (::write(2, part, std::strlen(part)) < 0) break;
   ::_exit(127);
 }
 
@@ -51,152 +51,6 @@ int decode_exit_status(int status) {
   if (WIFEXITED(status)) return WEXITSTATUS(status);
   if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
   return -1;
-}
-
-namespace {
-
-std::int64_t mono_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
-WorkerPool::WorkerPool(WorkerOptions options) : options_(options) {
-  if (options_.workers < 1)
-    throw std::invalid_argument("WorkerPool: worker count must be >= 1, got " +
-                                std::to_string(options_.workers));
-  if (options_.max_attempts < 1)
-    throw std::invalid_argument("WorkerPool: max_attempts must be >= 1, got " +
-                                std::to_string(options_.max_attempts));
-  if (options_.retry_backoff_ms < 0)
-    throw std::invalid_argument("WorkerPool: retry_backoff_ms must be >= 0, got " +
-                                std::to_string(options_.retry_backoff_ms));
-}
-
-std::vector<ShardRun> WorkerPool::run(const std::vector<int>& shards,
-                                      const std::function<std::vector<std::string>(int)>& argv_for,
-                                      const std::function<std::string(int)>& log_for) const {
-  struct InFlight {
-    int shard = 0;
-    int attempts = 0;
-  };
-  struct PendingRetry {
-    int shard = 0;
-    int attempts = 0;           ///< attempts already consumed
-    std::int64_t ready_ms = 0;  ///< steady-clock instant the respawn unblocks
-  };
-  std::map<pid_t, InFlight> running;
-  std::map<int, ShardRun> finished;
-  std::vector<PendingRetry> pending;
-  std::size_t next = 0;
-
-  // Jittered exponential backoff: attempt k (k >= 2) waits
-  // base * 2^(k-2) * uniform[0.5, 1.5), capped at 10 s. The jitter keeps a
-  // fleet of simultaneously-failed shards from respawning in lockstep.
-  std::mt19937 rng(static_cast<std::uint32_t>(::getpid()) ^
-                   static_cast<std::uint32_t>(mono_ms()));
-  const auto backoff_ms = [&](int attempts_done) -> std::int64_t {
-    if (options_.retry_backoff_ms == 0) return 0;
-    const int shift = std::min(attempts_done - 1, 10);
-    const double base =
-        std::min<double>(static_cast<double>(options_.retry_backoff_ms) * (1u << shift), 10000.0);
-    std::uniform_real_distribution<double> jitter(0.5, 1.5);
-    return static_cast<std::int64_t>(base * jitter(rng));
-  };
-
-  const auto spawn = [&](int shard, int attempts) {
-    if (options_.verbose && attempts > 1)
-      std::fprintf(stderr, "[dist] shard %d: retry (attempt %d/%d)\n", shard, attempts,
-                   options_.max_attempts);
-    const pid_t pid = spawn_worker(argv_for(shard), log_for(shard));
-    if (options_.verbose)
-      std::fprintf(stderr, "[dist] shard %d: worker pid %d\n", shard, static_cast<int>(pid));
-    running[pid] = {shard, attempts};
-  };
-
-  // Reap ONLY pids this pool spawned — never waitpid(-1), which would
-  // steal (and discard) statuses from an embedding process's own children
-  // or from a second pool on another thread. WNOHANG over the in-flight
-  // set keeps the loop free to launch due retries while others run.
-  const auto try_reap = [&]() -> std::pair<pid_t, int> {
-    for (const auto& [pid, inflight] : running) {
-      int status = 0;
-      const pid_t got = ::waitpid(pid, &status, WNOHANG);
-      if (got == pid) return {pid, status};
-      if (got < 0 && errno != EINTR)
-        throw std::runtime_error(std::string("WorkerPool: waitpid failed: ") +
-                                 std::strerror(errno));
-    }
-    return {-1, 0};
-  };
-
-  useconds_t idle_backoff = 500;
-  while (next < shards.size() || !running.empty() || !pending.empty()) {
-    // Launch work while slots are free: due retries first (they are the
-    // oldest work), then fresh shards.
-    while (running.size() < static_cast<std::size_t>(options_.workers)) {
-      const std::int64_t now = mono_ms();
-      const auto due = std::find_if(pending.begin(), pending.end(),
-                                    [&](const PendingRetry& p) { return p.ready_ms <= now; });
-      if (due != pending.end()) {
-        const PendingRetry retry = *due;
-        pending.erase(due);
-        spawn(retry.shard, retry.attempts + 1);
-        continue;
-      }
-      if (next < shards.size()) {
-        spawn(shards[next++], 1);
-        continue;
-      }
-      break;
-    }
-
-    if (running.empty()) {
-      // Nothing in flight: only delayed retries remain. Sleep until the
-      // earliest one is due instead of spinning.
-      std::int64_t wake = mono_ms() + 50;
-      for (const PendingRetry& p : pending) wake = std::min(wake, p.ready_ms);
-      const std::int64_t wait = wake - mono_ms();
-      if (wait > 0) ::usleep(static_cast<useconds_t>(std::min<std::int64_t>(wait, 50)) * 1000);
-      continue;
-    }
-
-    const auto [pid, status] = try_reap();
-    if (pid < 0) {
-      ::usleep(idle_backoff);
-      idle_backoff = std::min<useconds_t>(idle_backoff * 2, 20000);
-      continue;
-    }
-    idle_backoff = 500;
-
-    const auto it = running.find(pid);
-    const InFlight done = it->second;
-    running.erase(it);
-    const int code = decode_exit_status(status);
-    if (code != 0 && done.attempts < options_.max_attempts) {
-      const std::int64_t delay = backoff_ms(done.attempts);
-      if (delay == 0) {
-        spawn(done.shard, done.attempts + 1);  // bounded retry, backoff disabled
-      } else {
-        if (options_.verbose)
-          std::fprintf(stderr, "[dist] shard %d: backing off %lld ms before retry\n", done.shard,
-                       static_cast<long long>(delay));
-        pending.push_back({done.shard, done.attempts, mono_ms() + delay});
-      }
-      continue;
-    }
-    if (options_.verbose && code != 0)
-      std::fprintf(stderr, "[dist] shard %d: FAILED with exit code %d after %d attempt(s)\n",
-                   done.shard, code, done.attempts);
-    finished[done.shard] = {done.shard, done.attempts, code};
-  }
-
-  std::vector<ShardRun> out;
-  out.reserve(finished.size());
-  for (const auto& [shard, run] : finished) out.push_back(run);  // map iterates sorted
-  return out;
 }
 
 std::string self_exe(const char* argv0) {

@@ -1,69 +1,24 @@
-// worker_pool.h — bounded fork/exec fan-out over shard worker processes.
+// worker_pool.h — fork/exec primitives for worker processes.
 //
-// The process-level sibling of tensor/parallel.h: where the thread pool
-// shards work inside one address space, WorkerPool spawns one CHILD
-// PROCESS per shard — at most `workers` in flight — and waits for them.
-// Children are fully described by their argv (the fsa_cli shard-worker
-// contract, see jobs.h) and their stdout/stderr is appended to a per-shard
-// log file, so a worker can run unchanged on another machine against the
-// same job directory.
-//
-// Failure policy: a child that exits nonzero (or dies on a signal) is
-// re-spawned up to `max_attempts` total tries — crash recovery is safe
-// because shard results are written atomically and shard work is a pure
-// function of the manifest, so a retry can only produce the identical
-// result file. Shards that still fail are reported, never silently
-// dropped.
+// Both process fan-outs in src/dist/ go through spawn_worker: run_job
+// (jobs.h) starts `dist serve --once` lease workers on a job, and each
+// serve() loop (serve.h) execs one `--run-shard` child per claimed shard.
+// Children are fully described by their argv and inherit the caller's
+// process group, so killing the group stops every descendant.
 #pragma once
 
 #include <sys/types.h>
 
-#include <functional>
 #include <string>
 #include <vector>
 
 namespace fsa::dist {
 
-struct WorkerOptions {
-  int workers = 1;       ///< max concurrent child processes
-  int max_attempts = 2;  ///< total tries per shard (1 initial + retries)
-  bool verbose = false;  ///< narrate spawns/retries/failures to stderr
-  /// Base delay before respawning a failed shard. The k-th retry waits
-  /// base * 2^(k-1), jittered uniformly in [0.5x, 1.5x) and capped at 10 s,
-  /// so a crash-looping shard never hot-loops fork/exec and simultaneous
-  /// retries de-synchronize. 0 disables the delay (immediate respawn).
-  int retry_backoff_ms = 100;
-};
-
-/// Outcome of one shard's (possibly retried) execution.
-struct ShardRun {
-  int shard = 0;
-  int attempts = 0;   ///< spawns consumed (1 = first try succeeded)
-  int exit_code = 0;  ///< final child status: 0 ok, 128+sig for signals, 127 exec failure
-};
-
-class WorkerPool {
- public:
-  explicit WorkerPool(WorkerOptions options);
-
-  /// Execute every shard in `shards`: spawn `argv_for(shard)` (argv[0] is
-  /// the executable path) with stdout/stderr appended to
-  /// `log_for(shard)`, keeping at most `workers` children alive. Returns
-  /// one ShardRun per shard, sorted by shard index. Throws only on
-  /// spawn-machinery failure (fork); child failures are reported in the
-  /// ShardRuns.
-  std::vector<ShardRun> run(const std::vector<int>& shards,
-                            const std::function<std::vector<std::string>(int)>& argv_for,
-                            const std::function<std::string(int)>& log_for) const;
-
- private:
-  WorkerOptions options_;
-};
-
 /// Spawn one worker child: redirect stdout+stderr to `log` (append, parent
 /// directories created), exec `argv` (argv[0] is the executable; a bare
 /// name resolves via PATH). Returns the child pid; the child exits 127 on
-/// exec failure. Shared by WorkerPool and the `dist serve` daemon.
+/// exec failure. Safe to call from a multi-threaded process: everything
+/// the child needs is built before fork().
 pid_t spawn_worker(const std::vector<std::string>& argv, const std::string& log);
 
 /// Collapse a waitpid status into one exit code: the child's own code,

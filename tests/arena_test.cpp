@@ -137,7 +137,9 @@ TEST(EvasiveAttacker, NoTargetIsBitwiseIdenticalToVanilla) {
   core::FaultSneakingConfig cfg;
   cfg.admm.norm = core::NormKind::kL2;
   FsaAttacker vanilla(cfg, "fsa-l2");
-  EvasiveFsaAttacker unconstrained(cfg, defense::DefenseConfig{.name = ""}, "fsa-l2-evasive");
+  defense::DefenseConfig no_guard;
+  no_guard.name = "";
+  EvasiveFsaAttacker unconstrained(cfg, no_guard, "fsa-l2-evasive");
 
   const AttackReport a = vanilla.run(f.model.net, bench.attack().mask(), spec);
   const AttackReport b = unconstrained.run(f.model.net, bench.attack().mask(), spec);

@@ -1,21 +1,24 @@
 // dist_test.cpp — the multi-process distribution subsystem.
 //
-// Covers the JobDir protocol, the WorkerPool (REAL child processes: this
-// test binary re-executes itself in fsa_cli's --run-shard worker mode —
-// see main() at the bottom), the zero-drift reducers (associativity /
-// commutativity over shuffled shard orders, canonical row union), the
-// crashed-worker retry path, sweep/campaign spec JSON round-trips, and
-// the injector calibration profiles the manifests embed.
+// Covers the JobDir protocol, run_job over local lease workers and the
+// `dist serve` loop (REAL child processes: this test binary re-executes
+// itself in fsa_cli's `dist serve` and --run-shard modes — see main() at
+// the bottom), the zero-drift reducers (associativity / commutativity
+// over shuffled shard orders, canonical row union), the crashed-worker
+// retry path, sweep/campaign spec JSON round-trips, and the injector
+// calibration profiles the manifests embed.
 //
 // The headline guarantee under test: a job reduced from 1 shard, N
 // in-process shards, or N child PROCESSES produces byte-identical
 // reduced JSON.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -564,111 +567,135 @@ TEST(InjectorProfile, ShippedProfilesParseAndLoad) {
   }
 }
 
-// ---- WorkerPool: real child processes ----------------------------------------
+// ---- run_job: local lease workers over real child processes -----------------
 
-/// argv for re-running THIS binary as a campaign shard worker (the same
-/// contract fsa_cli's --run-shard mode implements; see worker_main).
-std::vector<std::string> worker_argv(const JobDir& job, int shard,
-                                     const std::vector<std::string>& extra = {}) {
-  std::vector<std::string> argv = {self_exe(),    "campaign",
-                                   "--run-shard", job.manifest_path(),
-                                   "--shard",     std::to_string(shard),
-                                   "--out",       job.result_path(shard)};
-  argv.insert(argv.end(), extra.begin(), extra.end());
-  return argv;
+/// run_job starts THIS binary as `dist serve --once` lease workers, which
+/// exec it again per claimed shard (see main() at the bottom). `extra`
+/// rides on every lease worker's argv, and its daemon mode forwards the
+/// crash-injection flags to the shard workers.
+RunJobOptions quiet_run(int workers, std::vector<std::string> extra = {}) {
+  RunJobOptions opts;
+  opts.workers = workers;
+  opts.verbose = false;
+  opts.extra_argv = std::move(extra);
+  return opts;
 }
 
-TEST(WorkerPool, MultiProcessCampaignBitwiseIdenticalForAnyWorkerCount) {
+/// Files under <job>/leases/: claims and reclaim debris alike.
+int lease_files(const JobDir& job) {
+  const fs::path dir = fs::path(job.path()) / "leases";
+  if (!fs::exists(dir)) return 0;
+  return static_cast<int>(std::distance(fs::directory_iterator(dir), fs::directory_iterator{}));
+}
+
+/// True when every child this process started has been reaped.
+bool no_children_left() { return ::waitpid(-1, nullptr, WNOHANG) < 0 && errno == ECHILD; }
+
+TEST(RunJob, ReducedBytesMatchTheInProcessOracleForAnyWorkerCount) {
   Scratch scratch("fsa_dist_procs");
   const faultsim::BitFlipPlan plan = test_plan();
   const faultsim::MemoryLayout layout;
   const int shards = 6;
+  const std::string oracle =
+      faultsim::CampaignRunner(shards, 7).run("rowhammer", plan, layout).to_json().dump(2);
 
   std::string baseline;
   for (const int workers : {1, 4, 8}) {
-    const std::string dir = scratch.sub("w" + std::to_string(workers));
     const faultsim::CampaignPlanner planner("rowhammer", shards, 7);
-    const JobDir job = create_campaign_job(dir, planner, plan, layout);
-    RunJobOptions opts;
-    opts.workers = workers;
-    opts.verbose = false;
-    const eval::Json reduced = run_job(job, self_exe(), opts);
+    const JobDir job =
+        create_campaign_job(scratch.sub("w" + std::to_string(workers)), planner, plan, layout);
+    const eval::Json reduced = run_job(job, self_exe(), quiet_run(workers));
     // run_job wrote reduced.json too; the file and the return agree.
     EXPECT_EQ(read_json_file(job.reduced_path()).dump(2), reduced.dump(2));
+    EXPECT_EQ(reduced.at("report").dump(2), oracle) << workers << " workers";
     if (baseline.empty())
       baseline = reduced.dump(2);
     else
       EXPECT_EQ(reduced.dump(2), baseline) << workers << " workers drifted";
+    EXPECT_EQ(lease_files(job), 0) << "lease left behind at " << workers << " workers";
+    EXPECT_TRUE(no_children_left()) << "a lease worker outlived run_job";
   }
-  // And the whole multi-process path matches the in-process thread path.
-  const faultsim::CampaignReport direct =
-      faultsim::CampaignRunner(shards, 7).run("rowhammer", plan, layout);
-  EXPECT_EQ(eval::Json::parse(baseline).at("report").dump(2), direct.to_json().dump(2));
 }
 
-TEST(WorkerPool, CrashedWorkerIsRetriedAndResultDoesNotDrift) {
+TEST(RunJob, CrashedShardIsRetriedWithoutByteDrift) {
   Scratch scratch("fsa_dist_retry");
   const faultsim::BitFlipPlan plan = test_plan();
   const faultsim::MemoryLayout layout;
   const faultsim::CampaignPlanner planner("laser", 3, 7);
+  const std::string want =
+      run_job(create_campaign_job(scratch.sub("clean"), planner, plan, layout), self_exe(),
+              quiet_run(2))
+          .dump(2);
 
-  // Clean reference run.
-  const JobDir clean = create_campaign_job(scratch.sub("clean"), planner, plan, layout);
-  RunJobOptions opts;
-  opts.workers = 2;
-  opts.verbose = false;
-  const std::string want = run_job(clean, self_exe(), opts).dump(2);
-
-  // Every worker crashes on its FIRST attempt (--fail-once marker file),
-  // succeeds on the retry; the reduced document must not change a byte.
+  // The first shard worker to start crashes (--fail-once marker file); the
+  // lease policy re-runs its shard and the reduction must not move a byte.
   const JobDir flaky = create_campaign_job(scratch.sub("flaky"), planner, plan, layout);
-  RunJobOptions flaky_opts = opts;
-  flaky_opts.max_attempts = 2;
-  flaky_opts.extra_argv = {"--fail-once", scratch.sub("marker")};
-  const eval::Json reduced = run_job(flaky, self_exe(), flaky_opts);
-  EXPECT_EQ(reduced.dump(2), want);
-
-  // Pool-level accounting: a directly driven flaky shard takes 2 attempts.
-  const JobDir counted = create_campaign_job(scratch.sub("counted"), planner, plan, layout);
-  WorkerPool pool({2, 3, false});
-  const std::vector<ShardRun> runs = pool.run(
-      {0, 1, 2},
-      [&](int s) { return worker_argv(counted, s, {"--fail-once", scratch.sub("marker2")}); },
-      [&](int s) { return counted.log_path(s); });
-  ASSERT_EQ(runs.size(), 3u);
-  int retried = 0;
-  for (const ShardRun& r : runs) {
-    EXPECT_EQ(r.exit_code, 0) << "shard " << r.shard;
-    retried += r.attempts > 1 ? 1 : 0;
-  }
-  EXPECT_GE(retried, 1);  // exactly one shard hit the marker race first and crashed
+  EXPECT_EQ(run_job(flaky, self_exe(), quiet_run(2, {"--fail-once", scratch.sub("marker")})).dump(2),
+            want);
+  EXPECT_TRUE(fs::exists(scratch.sub("marker"))) << "no worker crashed: nothing was retried";
+  EXPECT_EQ(lease_files(flaky), 0);
+  EXPECT_TRUE(no_children_left());
 }
 
-TEST(WorkerPool, PermanentFailureIsReportedWithLogPath) {
+TEST(RunJob, PermanentFailureNamesTheShardAndItsLogAndTheJobResumes) {
   Scratch scratch("fsa_dist_fail");
   const faultsim::CampaignPlanner planner("laser", 2, 7);
   const JobDir job =
       create_campaign_job(scratch.sub("job"), planner, test_plan(), faultsim::MemoryLayout{});
-  RunJobOptions opts;
-  opts.workers = 2;
-  opts.max_attempts = 2;
-  opts.verbose = false;
-  opts.extra_argv = {"--fail-always"};
   try {
-    (void)run_job(job, self_exe(), opts);
-    FAIL() << "expected worker-failure error";
+    (void)run_job(job, self_exe(), quiet_run(2, {"--fail-always"}));
+    FAIL() << "expected a missing-shard error";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("exit 3"), std::string::npos) << what;
-    EXPECT_NE(what.find("2 attempt(s)"), std::string::npos) << what;
-    EXPECT_NE(what.find("logs"), std::string::npos) << what;
+    for (int s = 0; s < 2; ++s) {
+      EXPECT_NE(what.find("shard " + std::to_string(s)), std::string::npos) << what;
+      EXPECT_NE(what.find(job.log_path(s)), std::string::npos) << what;
+    }
   }
-  // Resume after the bug is "fixed": only the missing shards run.
-  const eval::Json reduced = run_job(job, self_exe(), RunJobOptions{2, 2, false, {}});
+  EXPECT_EQ(lease_files(job), 0) << "failed runs must release their leases";
+  EXPECT_TRUE(no_children_left());
+  // Resume after the bug is "fixed": the missing shards run and reduce.
+  const eval::Json reduced = run_job(job, self_exe(), quiet_run(2));
   EXPECT_EQ(reduced.get_string("kind", ""), "campaign");
+  EXPECT_TRUE(job.status().missing.empty());
 }
 
-TEST(WorkerPool, TempJobIsRemovedOnSuccessAndNamedOnFailure) {
+TEST(RunJob, LeavesLiveForeignLeasesAloneAndReclaimsStaleOnes) {
+  Scratch scratch("fsa_dist_run_leases");
+  const faultsim::BitFlipPlan plan = test_plan();
+  const faultsim::MemoryLayout layout;
+  const faultsim::CampaignPlanner planner("laser", 2, 7);
+  const std::string want =
+      run_job(create_campaign_job(scratch.sub("clean"), planner, plan, layout), self_exe(),
+              quiet_run(2))
+          .dump(2);
+
+  // A live cluster worker elsewhere holds shard 0: run_job must not run it
+  // a second time, and its error names the shard and the holder.
+  const JobDir job = create_campaign_job(scratch.sub("job"), planner, plan, layout);
+  ASSERT_TRUE(try_claim_lease(job.lease_path(0), make_lease("other-worker", lease_now_ms())));
+  try {
+    (void)run_job(job, self_exe(), quiet_run(2));
+    FAIL() << "expected a missing-shard error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("shard 0 (log " + job.log_path(0) + ", leased by other-worker"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_FALSE(job.has_result(0));
+  EXPECT_TRUE(job.has_result(1));
+
+  // The holder dies and its heartbeat goes stale: the next run_job
+  // reclaims the shard and reduces to the clean run's bytes.
+  write_json_atomic(job.lease_path(0),
+                    make_lease("other-worker", lease_now_ms() - 120000).to_json());
+  EXPECT_EQ(run_job(job, self_exe(), quiet_run(2)).dump(2), want);
+  EXPECT_EQ(lease_files(job), 0);
+  EXPECT_TRUE(no_children_left());
+}
+
+TEST(RunJob, TempJobIsRemovedOnSuccessAndNamedOnFailure) {
   // The CLI's --workers mode without --job runs in a throwaway directory.
   // Success must remove it; a permanent failure must RETAIN it (the logs
   // are the only diagnosis trail) and name the retained path in the
@@ -676,23 +703,18 @@ TEST(WorkerPool, TempJobIsRemovedOnSuccessAndNamedOnFailure) {
   Scratch scratch("fsa_dist_tempjob");
   const faultsim::CampaignPlanner planner("laser", 2, 7);
   const faultsim::BitFlipPlan plan = test_plan();
-  RunJobOptions opts;
-  opts.workers = 2;
-  opts.verbose = false;
 
   const std::string ok_dir = scratch.sub("ok");
   const JobDir ok = create_campaign_job(ok_dir, planner, plan, faultsim::MemoryLayout{});
-  const eval::Json reduced = run_temp_job(ok, self_exe(), opts);
+  const eval::Json reduced = run_temp_job(ok, self_exe(), quiet_run(2));
   EXPECT_EQ(reduced.get_string("kind", ""), "campaign");
   EXPECT_FALSE(fs::exists(ok_dir)) << "successful temp job must clean up after itself";
 
   const std::string bad_dir = scratch.sub("bad");
   const JobDir bad = create_campaign_job(bad_dir, planner, plan, faultsim::MemoryLayout{});
-  RunJobOptions bad_opts = opts;
-  bad_opts.extra_argv = {"--fail-always"};
   try {
-    (void)run_temp_job(bad, self_exe(), bad_opts);
-    FAIL() << "expected worker-failure error";
+    (void)run_temp_job(bad, self_exe(), quiet_run(2, {"--fail-always"}));
+    FAIL() << "expected a missing-shard error";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("retained at " + bad_dir), std::string::npos) << what;
@@ -702,30 +724,12 @@ TEST(WorkerPool, TempJobIsRemovedOnSuccessAndNamedOnFailure) {
   EXPECT_TRUE(fs::exists(bad.log_path(0))) << "retained job keeps its worker logs";
 }
 
-TEST(WorkerPool, RejectsNonPositiveConfiguration) {
-  EXPECT_THROW(WorkerPool({0, 2, false}), std::invalid_argument);
-  EXPECT_THROW(WorkerPool({2, 0, false}), std::invalid_argument);
-  EXPECT_THROW(WorkerPool({2, 2, false, -1}), std::invalid_argument);
-}
-
-TEST(WorkerPool, RetryWaitsOutTheJitteredBackoff) {
-  Scratch scratch("fsa_dist_backoff");
-  const faultsim::CampaignPlanner planner("laser", 1, 7);
-  const JobDir job =
-      create_campaign_job(scratch.sub("job"), planner, test_plan(), faultsim::MemoryLayout{});
-  WorkerPool pool({1, 2, false, 400});  // retry delay in [200, 600) ms
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<ShardRun> runs = pool.run(
-      {0}, [&](int s) { return worker_argv(job, s, {"--fail-once", scratch.sub("marker")}); },
-      [&](int s) { return job.log_path(s); });
-  const auto elapsed =
-      std::chrono::duration_cast<std::chrono::milliseconds>(std::chrono::steady_clock::now() - t0);
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0].exit_code, 0);
-  EXPECT_EQ(runs[0].attempts, 2);
-  // The retry cannot have fired before the jitter floor (0.5 x base).
-  EXPECT_GE(elapsed.count(), 150);
-  EXPECT_TRUE(job.has_result(0));
+TEST(RunJob, RejectsNonPositiveWorkerCount) {
+  Scratch scratch("fsa_dist_run_workers");
+  const JobDir job = create_campaign_job(scratch.sub("job"), faultsim::CampaignPlanner("laser", 1, 7),
+                                         test_plan(), faultsim::MemoryLayout{});
+  EXPECT_THROW((void)run_job(job, self_exe(), quiet_run(0)), std::invalid_argument);
+  EXPECT_EQ(job.status().missing, (std::vector<int>{0})) << "nothing may run on a bad config";
 }
 
 // ---- leases ------------------------------------------------------------------
@@ -911,13 +915,9 @@ TEST(Serve, DrainsMultipleJobsAndReduces) {
   EXPECT_TRUE(a.status().missing.empty());
   EXPECT_TRUE(b.status().missing.empty());
 
-  // The lease-claimed path cannot drift a byte from the coordinator path.
-  const JobDir ref = create_campaign_job(scratch.sub("ref"),
-                                         faultsim::CampaignPlanner("rowhammer", 4, 7), plan, layout);
-  RunJobOptions ref_opts;
-  ref_opts.verbose = false;
-  EXPECT_EQ(read_json_file(a.reduced_path()).dump(2),
-            run_job(ref, self_exe(), ref_opts).dump(2));
+  // The lease-claimed path cannot drift a byte from the in-process runner.
+  EXPECT_EQ(read_json_file(a.reduced_path()).at("report").dump(2),
+            faultsim::CampaignRunner(4, 7).run("rowhammer", plan, layout).to_json().dump(2));
 
   // A second serve over finished jobs finds nothing claimable and exits.
   const ServeReport again = serve(serve_opts({a.path(), b.path()}), self_exe());
@@ -1002,7 +1002,7 @@ TEST(Serve, SigtermDrainsInFlightShardAndReleasesLeases) {
 
   // A daemon-mode serve child whose shard workers are slow enough to be
   // caught in flight.
-  const pid_t pid = spawn_worker({self_exe(), "serve-mode", "--job", job.path(), "--poll-ms",
+  const pid_t pid = spawn_worker({self_exe(), "dist", "serve", "--job", job.path(), "--poll-ms",
                                   "50", "--lease-expiry-ms", "60000", "--sleep-ms", "1500"},
                                  scratch.sub("serve.log"));
   // Wait for it to claim a shard...
@@ -1049,11 +1049,12 @@ TEST(Serve, RejectsUnusableOptions) {
 
 // ---- worker mode -------------------------------------------------------------
 //
-// WorkerPool tests spawn THIS binary with the fsa_cli shard-worker
-// contract (`<exe> campaign --run-shard M --shard I --out F`). Detect that
-// argv shape before gtest sees it and run the worker entry instead.
-// `--fail-once <marker>` / `--fail-always` inject deterministic crashes
-// for the retry tests.
+// run_job and the serve tests spawn THIS binary with fsa_cli's argv
+// contracts: `<exe> dist serve --job ...` for a lease worker and
+// `<exe> campaign --run-shard M --shard I --out F` for a shard worker.
+// Detect those argv shapes before gtest sees them and run the matching
+// entry instead. `--fail-once <marker>` / `--fail-always` inject
+// deterministic crashes for the retry tests.
 namespace {
 
 int worker_main(int argc, char** argv) {
@@ -1071,9 +1072,9 @@ int worker_main(int argc, char** argv) {
     if (const std::string marker = args.get("fail-once", ""); !marker.empty()) {
       // First process to claim the marker crashes; O_EXCL makes the claim
       // atomic across concurrent workers.
-      if (!std::filesystem::exists(marker)) {
-        std::ofstream os(marker);
-        os << "crashed\n";
+      const int fd = ::open(marker.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
+      if (fd >= 0) {
+        ::close(fd);
         std::fprintf(stderr, "dist_test worker: injected one-time crash\n");
         return 3;
       }
@@ -1092,10 +1093,11 @@ int worker_main(int argc, char** argv) {
   }
 }
 
-/// `<exe> serve-mode --job dirs [--poll-ms N] [--lease-expiry-ms N]
-/// [--sleep-ms N]`: run a daemon-mode serve() in a child process, with
-/// --sleep-ms forwarded to every shard worker. The drain test SIGTERMs
-/// this process and inspects what it left behind.
+/// `<exe> dist serve --job dirs [--once] [--poll-ms N] [--lease-expiry-ms N]
+/// [--sleep-ms N] [--fail-once M] [--fail-always]`: fsa_cli's `dist serve`
+/// in a child process, with the last three forwarded to every shard
+/// worker. run_job drives it exactly as it drives fsa_cli; the drain test
+/// SIGTERMs it and inspects what it left behind.
 int serve_mode_main(int argc, char** argv) {
   using namespace fsa;
   try {
@@ -1103,14 +1105,17 @@ int serve_mode_main(int argc, char** argv) {
     dist::ServeOptions opts;
     opts.jobs = args.get_list("job", "");
     opts.poll_ms = static_cast<int>(args.get_int("poll-ms", 50));
-    opts.lease_expiry_ms = static_cast<int>(args.get_int("lease-expiry-ms", 60000));
+    opts.lease_expiry_ms = static_cast<int>(args.get_int("lease-expiry-ms", opts.lease_expiry_ms));
+    opts.once = args.has_flag("once");
     opts.verbose = true;  // the log is this process's flight recorder
-    if (const std::string sleep_ms = args.get("sleep-ms", ""); !sleep_ms.empty())
-      opts.extra_argv = {"--sleep-ms", sleep_ms};
+    for (const std::string key : {"sleep-ms", "fail-once"})
+      if (const std::string v = args.get(key, ""); !v.empty())
+        opts.extra_argv.insert(opts.extra_argv.end(), {"--" + key, v});
+    if (args.has_flag("fail-always")) opts.extra_argv.push_back("--fail-always");
     const dist::ServeReport rep = dist::serve(opts, dist::self_exe(argv[0]));
     return rep.shards_failed == 0 ? 0 : 1;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "dist_test serve-mode: %s\n", e.what());
+    std::fprintf(stderr, "dist_test serve: %s\n", e.what());
     return 2;
   }
 }
@@ -1120,7 +1125,8 @@ int serve_mode_main(int argc, char** argv) {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::string(argv[i]) == "--run-shard") return worker_main(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "serve-mode") return serve_mode_main(argc, argv);
+  if (argc > 2 && std::string(argv[1]) == "dist" && std::string(argv[2]) == "serve")
+    return serve_mode_main(argc - 1, argv + 1);
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();
 }

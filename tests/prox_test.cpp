@@ -127,7 +127,9 @@ TEST(ProxL1, ShrinksTowardZeroNeverPast) {
   const Tensor z = prox_l1(v, 1.5);
   for (std::size_t i = 0; i < v.size(); ++i) {
     EXPECT_LE(std::fabs(z[i]), std::fabs(v[i]));
-    if (z[i] != 0.0f) EXPECT_GT(z[i] * v[i], 0.0f);  // same sign
+    if (z[i] != 0.0f) {
+      EXPECT_GT(z[i] * v[i], 0.0f);  // same sign
+    }
   }
 }
 

@@ -22,9 +22,10 @@
 //   campaign  --dataset digits --layers fc3 --delta delta.bin
 //             [--injector rowhammer,laser,clock-glitch] [--shards K]
 //             [--seed N] [--manifest shards.json]
-//             [--workers N [--job dir] [--retries R]]
+//             [--workers N [--job dir]]
 //             | --run-shard manifest.json --shard I [--out result.json]
-//   dist      run|reduce|status --job dir [--workers N] [--retries R]
+//   dist      run|reduce|status --job dir [--workers N]
+//             | serve --job dir1[,dir2...] [--once] ...
 //   audit     --dataset digits --layers fc3 --delta delta.bin
 //
 // `attack` solves one instance through the engine registry and prints the
@@ -47,14 +48,15 @@
 // loads a calibration profile overriding injector cost-model parameters.
 //
 // Multi-process distribution (src/dist/, see docs/DIST.md): `--workers N`
-// routes a campaign or sweep through a job directory — the coordinator
-// writes a self-contained manifest, spawns N copies of this binary in
-// `--run-shard` mode (one shard per child, bounded retries, per-shard
-// logs), and reduces the shard results with the zero-drift reducer, so
-// the reduced JSON is bitwise identical for ANY worker count. `dist
-// run|reduce|status` operates on an existing job directory, which is the
-// whole coordination protocol — put it on shared storage and run workers
-// anywhere.
+// routes a campaign, sweep or arena through a job directory — the
+// coordinator writes a self-contained manifest, starts N copies of this
+// binary as `dist serve --once` lease workers, which claim shards by
+// lease and exec one `--run-shard` child each (crash retry with backoff,
+// per-shard logs), and reduces the shard results with the zero-drift
+// reducer, so the reduced JSON is bitwise identical for ANY worker count.
+// `dist run|reduce|status` operates on an existing job directory, which
+// is the whole coordination protocol — put it on shared storage and run
+// `dist serve` workers anywhere.
 #include <unistd.h>
 
 #include <cstdio>
@@ -117,7 +119,7 @@ int usage() {
       "           [--with-defense] [--defense name[/gran[/slack]]]\n"
       "           [--weights-only|--biases-only] [--json out.json] [--csv out.csv]\n"
       "           [--no-acc] [--quiet]\n"
-      "           [--workers N [--job dir] [--retries R]]\n"
+      "           [--workers N [--job dir]]\n"
       "           | --run-shard manifest.json --shard I [--out result.json]\n"
       "  arena    --dataset D --layers L --s-list 2 --r-list 100\n"
       "           [--method fsa-l0,fsa-l2,fsa-l0-evasive,fsa-l2-evasive]\n"
@@ -125,14 +127,14 @@ int usage() {
       "           [--seeds 1,2,...] [--backend B] [--acc]\n"
       "           [--with-campaign] [--injector I1,...] [--shards K] [--format f32|bf16|f16|int8]\n"
       "           [--weights-only|--biases-only] [--json out.json] [--csv out.csv] [--quiet]\n"
-      "           [--workers N [--job dir] [--retries R]]\n"
+      "           [--workers N [--job dir]]\n"
       "           | --run-shard manifest.json --shard I [--out result.json]\n"
       "  campaign --dataset D --layers L --delta delta.bin\n"
       "           [--injector rowhammer|laser|clock-glitch,...] [--shards K]\n"
       "           [--seed N] [--manifest shards.json] [--injector-profile file.json]\n"
-      "           [--workers N [--job dir] [--retries R]]\n"
+      "           [--workers N [--job dir]]\n"
       "           | --run-shard manifest.json --shard I [--out result.json]\n"
-      "  dist     run    --job dir [--workers N] [--retries R] [--retry-backoff-ms MS]\n"
+      "  dist     run    --job dir [--workers N]\n"
       "           serve  --job dir1[,dir2...] [--poll-ms MS] [--lease-expiry-ms MS]\n"
       "                  [--heartbeat-ms MS] [--once] [--max-shards N] [--quiet]\n"
       "           reduce --job dir\n"
@@ -178,17 +180,11 @@ void apply_injector_profile(const eval::Args& args) {
   if (!path.empty()) faultsim::load_injector_profile_file(path);
 }
 
-/// Shard-worker options shared by campaign/sweep `--workers` mode and
-/// `dist run`.
+/// Lease-worker options shared by campaign/sweep/arena `--workers` mode
+/// and `dist run`.
 dist::RunJobOptions worker_options(const eval::Args& args, bool verbose) {
   dist::RunJobOptions opts;
   opts.workers = positive_int(args, "workers", 1);
-  const auto retries = args.get_int("retries", 1);
-  if (retries < 0) throw std::invalid_argument("--retries must be >= 0");
-  opts.max_attempts = 1 + static_cast<int>(retries);
-  const auto backoff = args.get_int("retry-backoff-ms", opts.retry_backoff_ms);
-  if (backoff < 0) throw std::invalid_argument("--retry-backoff-ms must be >= 0");
-  opts.retry_backoff_ms = static_cast<int>(backoff);
   opts.verbose = verbose;
   return opts;
 }
@@ -517,8 +513,8 @@ int cmd_sweep(const eval::Args& args) {
   args.expect_only({"dataset", "layers", "method", "norm", "backend", "s-list", "r-list",
                     "seeds", "weights-only", "biases-only", "json", "csv", "no-acc", "quiet",
                     "with-campaign", "injector", "shards", "injector-profile", "with-defense",
-                    "defense", "workers", "retries", "retry-backoff-ms", "job", "run-shard",
-                    "shard", "out", "trace", "metrics"});
+                    "defense", "workers", "job", "run-shard", "shard", "out", "trace",
+                    "metrics"});
   apply_injector_profile(args);
   select_observability(args);
   if (!args.get("run-shard", "").empty()) {
@@ -610,8 +606,7 @@ int cmd_arena(const eval::Args& args) {
   args.expect_only({"dataset", "layers", "method", "defense", "backend", "s-list", "r-list",
                     "seeds", "weights-only", "biases-only", "acc", "json", "csv", "quiet",
                     "with-campaign", "injector", "shards", "format", "injector-profile",
-                    "workers", "retries", "retry-backoff-ms", "job", "run-shard", "shard", "out",
-                    "trace", "metrics"});
+                    "workers", "job", "run-shard", "shard", "out", "trace", "metrics"});
   apply_injector_profile(args);
   select_observability(args);
   if (!args.get("run-shard", "").empty()) {
@@ -744,8 +739,8 @@ int cmd_campaign_run_shard(const eval::Args& args) {
 
 int cmd_campaign(const eval::Args& args) {
   args.expect_only({"dataset", "layers", "delta", "injector", "shards", "seed", "manifest",
-                    "injector-profile", "workers", "retries", "retry-backoff-ms", "job",
-                    "run-shard", "shard", "out", "trace", "metrics"});
+                    "injector-profile", "workers", "job", "run-shard", "shard", "out", "trace",
+                    "metrics"});
   apply_injector_profile(args);
   select_observability(args);
   if (!args.get("run-shard", "").empty()) {
@@ -852,7 +847,7 @@ int cmd_dist(const eval::Args& args) {
     return rep.shards_failed == 0 ? 0 : 1;
   }
 
-  args.expect_only({"job", "workers", "retries", "retry-backoff-ms", "json", "trace", "metrics"});
+  args.expect_only({"job", "workers", "json", "trace", "metrics"});
   select_observability(args);
   const std::string dir = args.get("job", "");
   if (dir.empty()) throw std::invalid_argument("dist " + mode + ": --job <dir> is required");

@@ -104,11 +104,17 @@ with open(out_path, "w") as f:
 print(f"appended run {sha} ({backend}) to {out_path} "
       f"({len(trajectory['runs'])} run(s) in trajectory)")
 
-times = {b["name"]: b["real_time"] for b in entry["benchmarks"]}
+# UseRealTime() rows carry a "/real_time" name suffix; key by the bare
+# name so entries recorded before and after it stay comparable.
+def bare(name):
+    return name.removesuffix("/real_time")
+
+
+times = {bare(b["name"]): b["real_time"] for b in entry["benchmarks"]}
 
 # ---- delta vs the previous trajectory entry (perf-regression review aid) ----
 if previous is not None:
-    prev_times = {b["name"]: b["real_time"] for b in previous.get("benchmarks", [])}
+    prev_times = {bare(b["name"]): b["real_time"] for b in previous.get("benchmarks", [])}
     common = [n for n in times if n in prev_times and prev_times[n] > 0]
     if common:
         print(f"\ndelta vs previous run {previous.get('sha', '?')} "
